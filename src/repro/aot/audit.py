@@ -6,9 +6,11 @@ get edited, the tuning DB learns new winners.  The audit walks every
 manifest entry and reports exactly which dimension drifted:
 
 * ``missing``        — the manifest names an entry file that is gone;
-* ``corrupt``        — the entry fails its sha256 checksum; the file is
-  **quarantined** (moved to ``<root>/quarantine/``, same machinery as
-  the kernel cache's corrupt-entry handling) so it can never be served;
+* ``corrupt``        — the entry fails the shared entry reader (torn,
+  stale format, sha256 checksum mismatch); the file is **quarantined**
+  (moved to ``<root>/quarantine/`` by the kernel cache's own
+  :func:`~repro.runtime.kernel_cache.quarantine_entry`) so it can never
+  be served;
 * ``pipeline_drift`` — recorded pass-pipeline fingerprint differs from
   the current default pipeline's;
 * ``lowering_drift`` — recorded ``LOWERING_VERSION`` differs;
@@ -28,16 +30,14 @@ finding survives, naming the drifted entries.
 
 from __future__ import annotations
 
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..ir.passes import default_pipeline
 from ..obs import metrics as _metrics
-from ..runtime.kernel_cache import payload_checksum
-from .bundle import (BUNDLE_FORMAT_VERSION, QUARANTINE_DIR,
-                     ArtifactStore)
+from ..runtime.kernel_cache import quarantine_entry, read_entry
+from .bundle import BUNDLE_FORMAT_VERSION, ArtifactStore
 
 
 @dataclass
@@ -94,31 +94,6 @@ def _count_stale() -> None:
     _metrics.counter(
         "artifact_stale_total",
         "AOT artifact entries found stale (drifted inputs)").inc()
-
-
-def _quarantine_entry(root: pathlib.Path, path: pathlib.Path,
-                      reason: str) -> Optional[pathlib.Path]:
-    """Move a corrupt entry aside (the kernel cache's machinery)."""
-    target = None
-    try:
-        qdir = root / QUARANTINE_DIR
-        qdir.mkdir(parents=True, exist_ok=True)
-        target = qdir / path.name
-        os.replace(path, target)
-    except OSError:
-        target = None
-    from ..resilience.diagnostics import (Diagnostic, Severity,
-                                          log_diagnostic)
-    log_diagnostic(Diagnostic(
-        stage="cache", component="artifacts",
-        message=f"quarantined corrupt artifact {path.name}: {reason}",
-        severity=Severity.WARNING,
-        data={"entry": path.name,
-              "quarantined_to": str(target) if target else None}))
-    _metrics.counter(
-        "artifact_corrupt_total",
-        "corrupt AOT artifact entries/manifests detected").inc()
-    return target
 
 
 def _rederive_key(entry: Dict, fingerprint: str) -> Optional[str]:
@@ -183,26 +158,20 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
         model = ment.get("model", "?")
         variant = ment.get("variant", "default")
         path = store.entry_path(key)
-        if not path.exists():
+        entry, reason = read_entry(path, BUNDLE_FORMAT_VERSION)
+        if entry is None and reason is None:
             report.findings.append(AuditFinding(
                 key=key, model=model, variant=variant, kind="missing",
                 detail=f"entry file {path.name} does not exist"))
             _count_stale()
             continue
-        try:
-            import json
-            entry = json.loads(path.read_text())
-            valid = isinstance(entry, dict) \
-                and entry.get("format") == BUNDLE_FORMAT_VERSION \
-                and entry.get("checksum") == payload_checksum(entry)
-        except (OSError, ValueError):
-            entry, valid = None, False
-        if not valid:
-            target = _quarantine_entry(root, path, "checksum mismatch")
+        if entry is None:
+            target = quarantine_entry(path, reason, "artifacts",
+                                      "artifact_corrupt_total")
             report.findings.append(AuditFinding(
                 key=key, model=model, variant=variant, kind="corrupt",
-                detail=("quarantined to "
-                        f"{target}" if target else "quarantine failed")))
+                detail=(f"{reason}; quarantined to {target}" if target
+                        else f"{reason}; quarantine failed")))
             continue
 
         flagged = False

@@ -30,7 +30,8 @@ from ..ir.passes import default_pipeline
 from ..models import all_model_files, load_model
 from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION,
-                                    kernel_cache_key, payload_checksum)
+                                    kernel_cache_key, payload_checksum,
+                                    read_entry)
 from ..runtime.locking import file_lock
 from .bundle import (BUNDLE_FORMAT_VERSION, MANIFEST_NAME, MODELS_DIR,
                      layout_to_dict, spec_fingerprint,
@@ -240,7 +241,9 @@ def build_bundle(dest: Union[str, pathlib.Path],
                 continue
             backend = generated.spec.mode.value
             existing = manifest["entries"].get(key)
-            if existing is not None and _entry_file_valid(root, key):
+            if existing is not None and read_entry(
+                    root / f"{key}.json",
+                    BUNDLE_FORMAT_VERSION)[0] is not None:
                 report.entries.append(BuiltEntry(
                     key=key, model=name, backend=backend,
                     variant=variant, action="reused"))
@@ -326,16 +329,6 @@ def _write_model_blob(root: pathlib.Path, manifest: Dict, name: str,
                     "checksum": hashlib.sha256(blob).hexdigest(),
                     "source_hash": source_hash}
     return True
-
-
-def _entry_file_valid(root: pathlib.Path, key: str) -> bool:
-    try:
-        entry = json.loads((root / f"{key}.json").read_text())
-    except (OSError, ValueError):
-        return False
-    return isinstance(entry, dict) \
-        and entry.get("format") == BUNDLE_FORMAT_VERSION \
-        and entry.get("checksum") == payload_checksum(entry)
 
 
 def _make_entry(key: str, generated, kernel, fuse: bool, arena: bool,

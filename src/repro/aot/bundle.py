@@ -49,14 +49,13 @@ from typing import Dict, Optional, Union
 from ..codegen.common import BackendMode, GeneratedKernel, KernelSpec
 from ..codegen.layout import Layout, LayoutKind
 from ..obs import metrics as _metrics
+from ..runtime.kernel_cache import (default_tier, quarantine_entry,
+                                    read_entry)
 
 #: bump to invalidate every existing bundle at once
 BUNDLE_FORMAT_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
-
-#: subdirectory the audit moves corrupt entries into
-QUARANTINE_DIR = "quarantine"
 
 #: subdirectory holding pickled pre-parsed models (one per model)
 MODELS_DIR = "models"
@@ -241,7 +240,9 @@ class ArtifactStore:
         except OSError:
             return None
         if hashlib.sha256(blob).hexdigest() != record.get("checksum"):
-            self._note_corrupt(path, "model blob checksum mismatch")
+            quarantine_entry(path, "model blob checksum mismatch",
+                             "artifacts", "artifact_corrupt_total",
+                             move=False)
             return None
         import pickle
         try:
@@ -291,31 +292,12 @@ class ArtifactStore:
         Does not count hit/miss metrics — callers (the runner tier,
         :func:`runner_from_store`) count at their own granularity.
         """
-        from ..runtime.kernel_cache import payload_checksum
         path = self.entry_path(key)
-        try:
-            entry = json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as err:
-            self._note_corrupt(path, f"unreadable ({type(err).__name__})")
-            return None
-        if not isinstance(entry, dict) \
-                or entry.get("format") != BUNDLE_FORMAT_VERSION:
-            return None
-        if entry.get("checksum") != payload_checksum(entry):
-            self._note_corrupt(path, "checksum mismatch")
-            return None
+        entry, reason = read_entry(path, BUNDLE_FORMAT_VERSION)
+        if reason is not None:          # never mutate the mount
+            quarantine_entry(path, reason, "artifacts",
+                             "artifact_corrupt_total", move=False)
         return entry
-
-    def _note_corrupt(self, path: pathlib.Path, reason: str) -> None:
-        _log_artifact_diagnostic(
-            f"corrupt artifact entry {path.name} left in place "
-            f"(read-only tier): {reason}", entry=path.name,
-            root=str(self.root))
-        _metrics.counter(
-            "artifact_corrupt_total",
-            "corrupt AOT artifact entries/manifests detected").inc()
 
     def lookup_kernel(self, key: str) -> Optional[Dict]:
         """The runtime tier: the ``kernel`` payload for ``key``.
@@ -330,9 +312,6 @@ class ArtifactStore:
         return entry["kernel"]
 
 
-_STORES: Dict[str, ArtifactStore] = {}
-
-
 def default_artifact_dir() -> Optional[pathlib.Path]:
     """``$LIMPET_ARTIFACT_DIR``, or None when no bundle is mounted."""
     env = os.environ.get(_ENV_DIR)
@@ -345,16 +324,8 @@ def default_store() -> Optional[ArtifactStore]:
     ``LIMPET_ARTIFACTS=off`` disables the tier even with a mounted
     bundle (mirrors ``LIMPET_KERNEL_CACHE=off``).
     """
-    if os.environ.get(_ENV_DISABLE, "").lower() in ("off", "0", "no"):
-        return None
-    root = default_artifact_dir()
-    if root is None:
-        return None
-    store = _STORES.get(str(root))
-    if store is None:
-        store = ArtifactStore(root)
-        _STORES[str(root)] = store
-    return store
+    return default_tier(_ENV_DISABLE, default_artifact_dir(),
+                        ArtifactStore)
 
 
 def resolve_store(artifacts) -> Optional[ArtifactStore]:

@@ -1301,7 +1301,10 @@ def _drill_degradation() -> str:
 
 
 def _drill_cache_corruption() -> str:
-    """A corrupt on-disk cache entry must be quarantined and rebuilt."""
+    """A corrupt on-disk cache entry must be quarantined and rebuilt.
+
+    The bundle tier is pinned off: a mounted bundle would serve the
+    kernel and the cache would never hold an entry to corrupt."""
     from .codegen import generate_limpet_mlir
     from .resilience import corrupt_cache_entry
     from .runtime import KernelRunner
@@ -1309,14 +1312,17 @@ def _drill_cache_corruption() -> str:
     model = load_model("Plonsey")
     with tempfile.TemporaryDirectory() as tmp:
         cache = KernelCache(tmp)
-        KernelRunner(generate_limpet_mlir(model), cache=cache)
+        KernelRunner(generate_limpet_mlir(model), cache=cache,
+                     artifacts=False)
         corrupted = corrupt_cache_entry(cache, mode="truncate")
         assert corrupted is not None, "no cache entry to corrupt"
-        runner = KernelRunner(generate_limpet_mlir(model), cache=cache)
+        runner = KernelRunner(generate_limpet_mlir(model), cache=cache,
+                              artifacts=False)
         assert not runner.cache_hit, "served a truncated entry"
         stats = cache.persistent_stats()
         assert stats.corrupt >= 1, "corrupt entry not quarantined"
-        rebuilt = KernelRunner(generate_limpet_mlir(model), cache=cache)
+        rebuilt = KernelRunner(generate_limpet_mlir(model), cache=cache,
+                               artifacts=False)
         assert rebuilt.cache_hit, "rebuilt entry not re-cached"
     return ("cache corruption: truncated entry quarantined, kernel "
             "rebuilt and re-cached")

@@ -105,8 +105,9 @@ def compile_resilient(model: Union[str, IonicModel],
     bundle's zero-compile path — on a hit the kernel is exec'd straight
     from the bundle with no passes, verification or lowering at all;
     on a miss (or a stale/corrupt entry) a Diagnostic records the
-    fall-back to ordinary JIT compilation.  Fault-injection runs
-    (``inject=``) always JIT so drills exercise the real pipeline.
+    fall-back to ordinary JIT compilation, whose runner is handed the
+    same store for its key lookup.  Fault-injection runs (``inject=``)
+    never read a bundle, so drills exercise the real pipeline.
     """
     tune_kwargs = dict(tune=tune, tune_cells=tune_cells,
                        tune_dt=tune_dt, tune_db=tune_db)
@@ -115,7 +116,9 @@ def compile_resilient(model: Union[str, IonicModel],
     if not chain:
         raise ValueError("empty fallback chain")
     from ..aot.bundle import resolve_store, runner_from_store
-    store = None if inject is not None else resolve_store(artifacts)
+    store = resolve_store(False if inject is not None else artifacts)
+    jit_kwargs = dict(tune_kwargs, artifacts=False if store is None
+                      else store)
     diagnostics: List[Diagnostic] = []
     for tier, backend in enumerate(chain):
         if store is not None:
@@ -166,10 +169,10 @@ def compile_resilient(model: Union[str, IonicModel],
                         inject.wrap_pipeline(pipeline)
                     runner = KernelRunner(kernel, optimize=True,
                                           verify=True, pipeline=pipeline,
-                                          **tune_kwargs)
+                                          **jit_kwargs)
                 else:
                     runner = KernelRunner(kernel, optimize=True,
-                                          verify=True, **tune_kwargs)
+                                          verify=True, **jit_kwargs)
         except Exception as err:  # noqa: BLE001 - tier boundary
             if strict:
                 raise

@@ -7,13 +7,21 @@ here as an explicit membrane update — advances ``Vm`` from the computed
 ``Iion`` plus an optional stimulus.  The stub is identical for every
 backend so trajectories are directly comparable.
 
-Two resilience hooks thread through :meth:`KernelRunner.run`:
+Every run advances through one step loop, :meth:`KernelRunner._advance`,
+which takes a segment of n steps and two hooks:
 
-* ``watchdog`` — a :class:`~repro.resilience.watchdog.WatchdogConfig`
-  (or ``NumericalWatchdog``) enabling periodic NaN/Inf scans with
-  checkpoint-and-retry (see that module for the policies);
-* ``step_hook`` — a callable invoked with the state after every
-  executed step (instrumentation and fault injection).
+* ``compute`` — the compute stage: ``compute_step`` itself, or a
+  clock-accumulating wrapper of it under ``run(time_breakdown=True)``;
+* ``observe`` — None, or a callable seeing the state after every step:
+  the ``record_vm`` trace and/or the caller's ``step_hook``
+  (instrumentation and fault injection).
+
+An unguarded run is a timed 1-step segment (its end is the
+time-to-first-step) followed by an (n-1)-step segment.  With a
+``watchdog`` — a :class:`~repro.resilience.watchdog.WatchdogConfig` (or
+``NumericalWatchdog``) — the run is a series of ``check_interval``-step
+segments with the NaN/Inf scan, checkpoint and rollback between them
+(see that module for the policies).
 """
 
 from __future__ import annotations
@@ -231,56 +239,55 @@ class KernelRunner:
 
     def _build_kernel(self, optimize: bool, verify: bool,
                       pipeline: Optional[PassManager]) -> CompiledKernel:
+        """Exec the first tier holding the kernel: a bundled
+        :class:`~repro.aot.bundle.ArtifactKernel`'s own payload, then
+        the kernel cache and the bundle's key tier (:meth:`_lookup_stored`);
+        else JIT (:meth:`_jit`)."""
         generated = self.generated
         payload = getattr(generated, "payload", None)
         if payload and generated.module is None:
-            # an ArtifactKernel straight from a bundle: the payload IS
-            # the finished JIT product — exec it, skip everything
-            self.artifact_hit = True
+            tier = "artifact"
             self.cache_key = getattr(generated, "key", "") or None
-            return compile_kernel_source(
-                payload["function_name"], payload["source"],
-                payload["mode"], payload["width"],
-                payload["arg_names"], fused=payload["fused"],
-                arena=payload["arena"])
-        if pipeline is not None:
-            fingerprint = pipeline.fingerprint()
-        elif optimize:
-            pipeline = default_pipeline(verify_each=False)
-            fingerprint = pipeline.fingerprint()
         else:
-            fingerprint = "none"
+            if pipeline is None and optimize:
+                pipeline = default_pipeline(verify_each=False)
+            fingerprint = "none" if pipeline is None \
+                else pipeline.fingerprint()
+            tier, payload = self._lookup_stored(fingerprint, verify)
+            if payload is None:
+                return self._jit(pipeline, fingerprint, verify)
+        self.cache_hit = tier == "cache"
+        self.artifact_hit = tier == "artifact"
+        return compile_kernel_source(
+            payload["function_name"], payload["source"], payload["mode"],
+            payload["width"], payload["arg_names"],
+            fused=payload["fused"], arena=payload["arena"])
+
+    def _lookup_stored(self, fingerprint: str, verify: bool) -> tuple:
+        """``(tier, payload)`` from the kernel cache, then the bundle, or
+        ``(None, None)``; the key is computed once, if a tier is on."""
+        tiers = []
         if self.cache is not None:
-            with _trace.span("cache_lookup",
-                             model=self.model.name) as look:
-                self.cache_key = kernel_cache_key(
-                    generated, fingerprint, self.fuse, self.arena, verify,
-                    population=self.population)
-                payload = self.cache.load(self.cache_key)
-                look.annotate(hit=payload is not None)
-            if payload is not None:
-                self.cache_hit = True
-                return compile_kernel_source(
-                    payload["function_name"], payload["source"],
-                    payload["mode"], payload["width"],
-                    payload["arg_names"], fused=payload["fused"],
-                    arena=payload["arena"])
+            tiers.append(("cache", "cache_lookup", self.cache.load))
         if self.artifacts is not None:
-            if self.cache_key is None:
-                self.cache_key = kernel_cache_key(
-                    generated, fingerprint, self.fuse, self.arena, verify,
-                    population=self.population)
-            with _trace.span("artifact_lookup",
-                             model=self.model.name) as look:
-                payload = self.artifacts.lookup_kernel(self.cache_key)
+            tiers.append(("artifact", "artifact_lookup",
+                          self.artifacts.lookup_kernel))
+        if tiers:
+            self.cache_key = kernel_cache_key(
+                self.generated, fingerprint, self.fuse, self.arena,
+                verify, population=self.population)
+        for tier, span, lookup in tiers:
+            with _trace.span(span, model=self.model.name) as look:
+                payload = lookup(self.cache_key)
                 look.annotate(hit=payload is not None)
             if payload is not None:
-                self.artifact_hit = True
-                return compile_kernel_source(
-                    payload["function_name"], payload["source"],
-                    payload["mode"], payload["width"],
-                    payload["arg_names"], fused=payload["fused"],
-                    arena=payload["arena"])
+                return tier, payload
+        return None, None
+
+    def _jit(self, pipeline: Optional[PassManager], fingerprint: str,
+             verify: bool) -> CompiledKernel:
+        """Passes + verify + lowering, stored back into the kernel cache."""
+        generated = self.generated
         if pipeline is not None:
             tracer = _trace.active_tracer()
             if tracer is not None:
@@ -468,6 +475,43 @@ class KernelRunner:
             n_steps=n_steps, n_cells=state.n_cells, dt=dt,
             population=self.population, disposition=disposition)
 
+    # -- the step loop -----------------------------------------------------------
+
+    def _advance(self, state: SimulationState, n_steps: int, dt: float,
+                 stimulus: Optional[Stimulus], compute: Callable,
+                 observe: Optional[Callable]) -> None:
+        """The one step loop: advance ``state`` by ``n_steps`` steps.
+
+        ``compute`` is the compute stage (``compute_step``, or a clocked
+        wrapper of it); ``observe``, when set, sees the state after
+        every step (Vm trace, ``step_hook``).
+        """
+        solver = self.solver_step
+        for _ in range(n_steps):
+            compute(state, dt)
+            solver(state, dt, stimulus)
+            state.time += dt
+            state.steps_done += 1
+            if observe is not None:
+                observe(state)
+
+    @staticmethod
+    def _observer(state: SimulationState, record_vm: bool,
+                  step_hook: Optional[Callable]) -> tuple:
+        """``(observe, trace)``: the per-step callable for
+        :meth:`_advance` (None when nothing observes) and the Vm trace
+        list it appends to (None unless recording)."""
+        if not (record_vm and "Vm" in state.externals):
+            return step_hook, None
+        trace: List[float] = []
+        vm = state.externals["Vm"]
+
+        def observe(st: SimulationState) -> None:
+            trace.append(vm[0])
+            if step_hook is not None:
+                step_hook(st)
+        return observe, trace
+
     def _run(self, state: SimulationState, n_steps: int, dt: float,
              stimulus: Optional[Stimulus], record_vm: bool, watchdog,
              step_hook: Optional[Callable[[SimulationState], None]],
@@ -475,68 +519,34 @@ class KernelRunner:
         if watchdog is not None:
             return self._run_guarded(state, n_steps, dt, stimulus,
                                      record_vm, watchdog, step_hook)
-        has_vm = "Vm" in state.externals
-        trace = np.empty(n_steps) if record_vm and has_vm else None
+        observe, trace = self._observer(state, record_vm, step_hook)
+        clock = _time.perf_counter
         compute = self.compute_step
-        solver = self.solver_step
+        spent = [0.0]
         if time_breakdown:
-            clock = _time.perf_counter
-            vm = state.externals["Vm"] if trace is not None else None
-            compute_total = 0.0
-            start = clock()
-            for step in range(n_steps):
+            plain = compute
+
+            def compute(st: SimulationState, step_dt: float) -> None:
                 t0 = clock()
-                compute(state, dt)
-                compute_total += clock() - t0
-                solver(state, dt, stimulus)
-                state.time += dt
-                state.steps_done += 1
-                if trace is not None:
-                    trace[step] = vm[0]
-                if step_hook is not None:
-                    step_hook(state)
-            elapsed = clock() - start
-            return RunResult(state=state, n_steps=n_steps, dt=dt,
-                             elapsed_seconds=elapsed, vm_trace=trace,
-                             compute_seconds=compute_total,
-                             compile_seconds=getattr(
-                                 self, "compile_seconds", None))
+                plain(st, step_dt)
+                spent[0] += clock() - t0
         compile_seconds = getattr(self, "compile_seconds", None)
-        first_step = None
-        start = _time.perf_counter()
-        if trace is None and step_hook is None:
-            # hot path: the first step is peeled (it binds arguments
-            # and builds LUTs, and times the cold-start latency); the
-            # remaining loop has no per-step branch checks at all
-            if n_steps > 0:
-                compute(state, dt)
-                solver(state, dt, stimulus)
-                state.time += dt
-                state.steps_done += 1
-                first_step = _time.perf_counter() - start
-            for _ in range(n_steps - 1):
-                compute(state, dt)
-                solver(state, dt, stimulus)
-                state.time += dt
-                state.steps_done += 1
-        else:
-            vm = state.externals["Vm"] if trace is not None else None
-            for step in range(n_steps):
-                compute(state, dt)
-                solver(state, dt, stimulus)
-                state.time += dt
-                state.steps_done += 1
-                if step == 0:
-                    first_step = _time.perf_counter() - start
-                if trace is not None:
-                    trace[step] = vm[0]
-                if step_hook is not None:
-                    step_hook(state)
-        elapsed = _time.perf_counter() - start
-        ttfs = None if first_step is None or compile_seconds is None \
+        start = clock()
+        # the first step is its own segment: it binds arguments and
+        # builds LUTs, and its end times the cold-start latency
+        self._advance(state, min(n_steps, 1), dt, stimulus, compute,
+                      observe)
+        first_step = clock() - start
+        self._advance(state, n_steps - 1, dt, stimulus, compute, observe)
+        elapsed = clock() - start
+        ttfs = None if n_steps < 1 or compile_seconds is None \
             else compile_seconds + first_step
         return RunResult(state=state, n_steps=n_steps, dt=dt,
-                         elapsed_seconds=elapsed, vm_trace=trace,
+                         elapsed_seconds=elapsed,
+                         vm_trace=None if trace is None
+                         else np.asarray(trace, dtype=float),
+                         compute_seconds=spent[0] if time_breakdown
+                         else None,
                          compile_seconds=compile_seconds,
                          time_to_first_step=ttfs)
 
@@ -558,29 +568,23 @@ class KernelRunner:
                             f"NumericalWatchdog, got {watchdog!r}")
         config = guard.config
         report = guard.new_report(dt)
-        has_vm = "Vm" in state.externals
-        trace: Optional[List[float]] = [] if record_vm and has_vm else None
-        target_time = state.time + n_steps * dt
-        eps = dt * 1e-9
+        observe, trace = self._observer(state, record_vm, step_hook)
+        target_time = state.time + n_steps * dt - dt * 1e-9
         checkpoint: StateCheckpoint = state.checkpoint()
         trace_mark = 0
         cur_dt = dt
         executed = 0
         start = _time.perf_counter()
-        while state.time < target_time - eps:
-            segment = 0
-            while segment < config.check_interval and \
-                    state.time < target_time - eps:
-                self.compute_step(state, cur_dt)
-                self.solver_step(state, cur_dt, stimulus)
-                state.time += cur_dt
-                state.steps_done += 1
-                executed += 1
+        while state.time < target_time:
+            # up to check_interval steps, stopping where the clock
+            # reaches the target (the same float sums the steps make)
+            segment, t = 0, state.time
+            while segment < config.check_interval and t < target_time:
+                t += cur_dt
                 segment += 1
-                if trace is not None:
-                    trace.append(state.externals["Vm"][0])
-                if step_hook is not None:
-                    step_hook(state)
+            self._advance(state, segment, cur_dt, stimulus,
+                          self.compute_step, observe)
+            executed += segment
             report.checks += 1
             bad = guard.scan(state)
             if not bad:
@@ -643,8 +647,8 @@ class KernelRunner:
         report.ok = not report.aborted and not guard.scan(state)
         return RunResult(state=state, n_steps=executed, dt=cur_dt,
                          elapsed_seconds=elapsed,
-                         vm_trace=np.asarray(trace) if trace is not None
-                         else None,
+                         vm_trace=None if trace is None
+                         else np.asarray(trace, dtype=float),
                          health=report)
 
     def profile_report(self, invocations: int = 0):

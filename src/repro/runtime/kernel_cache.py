@@ -50,7 +50,7 @@ import os
 import pathlib
 import threading
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.printer import print_module
 from ..obs import metrics as _metrics
@@ -124,6 +124,78 @@ def payload_checksum(payload: Dict) -> str:
     material = {k: v for k, v in payload.items() if k != "checksum"}
     return hashlib.sha256(
         json.dumps(material, sort_keys=True).encode()).hexdigest()
+
+
+def read_entry(path: pathlib.Path, format_version: int
+               ) -> Tuple[Optional[Dict], Optional[str]]:
+    """Read and verify one checksummed entry file.
+
+    The one reader of kernel-cache and bundle entries: returns
+    ``(entry, None)`` when the file parses, carries ``format_version``
+    and its ``checksum`` matches; ``(None, reason)`` when it is corrupt
+    (unreadable, torn, not an object, stale format, checksum mismatch);
+    ``(None, None)`` when it does not exist.  What to do with a corrupt
+    entry is the caller's business (see :func:`quarantine_entry`).
+    """
+    try:
+        entry = json.loads(path.read_text())
+    except (OSError, ValueError) as err:
+        if isinstance(err, FileNotFoundError) or not path.exists():
+            return None, None
+        return None, f"unreadable ({type(err).__name__})"
+    if not isinstance(entry, dict):
+        return None, "payload is not an object"
+    if entry.get("format") != format_version:
+        return None, f"stale format {entry.get('format')!r}"
+    if entry.get("checksum") != payload_checksum(entry):
+        return None, "checksum mismatch"
+    return entry, None
+
+
+#: help text of each tier's corrupt-entry counter
+_CORRUPT_HELP = {
+    "kernel_cache_corrupt_total":
+        "corrupt kernel-cache entries quarantined",
+    "artifact_corrupt_total":
+        "corrupt AOT artifact entries/manifests detected",
+}
+
+
+def quarantine_entry(path: pathlib.Path, reason: str, component: str,
+                     metric: str, move: bool = True
+                     ) -> Optional[pathlib.Path]:
+    """Record a corrupt entry and, with ``move``, set it aside.
+
+    The entry is moved into ``quarantine/`` beside it (deleted when the
+    move fails) so it cannot poison later reads; with ``move=False`` (a
+    read-only tier: we must not mutate a shared mount) it is left in
+    place.  Either way a Diagnostic is logged for ``component`` and the
+    ``metric`` counter goes up.  Returns the quarantine path, or None.
+    """
+    target = None
+    if move:
+        try:
+            qdir = path.parent / QUARANTINE_DIR
+            qdir.mkdir(parents=True, exist_ok=True)
+            target = qdir / path.name
+            os.replace(path, target)
+        except OSError:
+            target = None
+            try:                        # quarantine failed: drop instead
+                path.unlink()
+            except OSError:
+                pass
+    from ..resilience.diagnostics import (Diagnostic, Severity,
+                                          log_diagnostic)
+    verb = "quarantined" if move else "left in place (read-only)"
+    log_diagnostic(Diagnostic(
+        stage="cache", component=component,
+        message=f"corrupt entry {path.name} {verb}: {reason}",
+        severity=Severity.WARNING,
+        data={"entry": path.name, "root": str(path.parent),
+              "quarantined_to": str(target) if target else None}))
+    _metrics.counter(metric, _CORRUPT_HELP.get(metric, "")).inc()
+    return target
 
 
 class KernelCache:
@@ -220,97 +292,38 @@ class KernelCache:
     def _lock_path(self) -> pathlib.Path:
         return self.root / ".lock"
 
-    def _quarantine(self, path: pathlib.Path, reason: str,
-                    move: bool = True) -> None:
-        """Move a corrupt entry aside so it cannot poison later reads.
-
-        With ``move=False`` (the read-only cache mode) the entry is
-        left in place — we must not mutate a shared read-only mount —
-        and only the diagnostic and counters are recorded.
-        """
-        self.stats.corrupt += 1
-        target = None
-        if move:
-            try:
-                qdir = self.root / QUARANTINE_DIR
-                qdir.mkdir(parents=True, exist_ok=True)
-                target = qdir / path.name
-                os.replace(path, target)
-            except OSError:
-                try:                    # quarantine failed: drop instead
-                    path.unlink()
-                except OSError:
-                    pass
-        from ..resilience.diagnostics import (Diagnostic, Severity,
-                                              log_diagnostic)
-        verb = "quarantined" if move else "left in place (read-only)"
-        log_diagnostic(Diagnostic(
-            stage="cache", component="kernel_cache",
-            message=f"corrupt entry {path.name} {verb}: {reason}",
-            severity=Severity.WARNING,
-            data={"entry": path.name,
-                  "quarantined_to": str(target) if target else None}))
-        _metrics.counter("kernel_cache_corrupt_total",
-                         "corrupt kernel-cache entries quarantined").inc()
-
     def load(self, key: str) -> Optional[Dict]:
         """The cached payload for ``key``, or None (counts hit/miss).
 
-        A missing entry is a plain miss; an unreadable, torn, or
-        checksum-mismatching entry is quarantined first, then counted
-        as a miss.
+        A missing entry is a plain miss; an unreadable, torn, stale or
+        checksum-mismatching entry is quarantined first (left in place
+        when read-only), then counted as a miss.
         """
         if self._memory is not None:
             payload = self._memory.get(key)
-            if payload is None:
-                self.stats.misses += 1
-                _metrics.counter("kernel_cache_misses_total",
-                                 "persistent kernel-cache misses").inc()
-                return None
-            self.stats.hits += 1
-            _metrics.counter("kernel_cache_hits_total",
-                             "persistent kernel-cache hits").inc()
-            return payload
-        if self._read_only and key in self._overlay:
-            self.stats.hits += 1
-            _metrics.counter("kernel_cache_hits_total",
-                             "persistent kernel-cache hits").inc()
-            return self._overlay[key]
-        path = self._path(key)
-        payload = None
-        corrupt_reason = None
-        try:
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                corrupt_reason = "payload is not an object"
-            elif payload.get("format") != CACHE_FORMAT_VERSION:
-                corrupt_reason = None       # stale format: silent miss
-                payload = None
-            elif payload.get("checksum") != payload_checksum(payload):
-                corrupt_reason = "checksum mismatch"
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError) as err:
-            if path.exists():
-                corrupt_reason = f"unreadable ({type(err).__name__})"
-        if corrupt_reason is not None:
-            self._quarantine(path, corrupt_reason,
-                             move=not self._read_only)
-            payload = None
+        elif key in self._overlay:          # only filled when read-only
+            payload = self._overlay[key]
+        else:
+            path = self._path(key)
+            payload, reason = read_entry(path, CACHE_FORMAT_VERSION)
+            if reason is not None:
+                self.stats.corrupt += 1
+                quarantine_entry(path, reason, "kernel_cache",
+                                 "kernel_cache_corrupt_total",
+                                 move=not self._read_only)
+            elif payload is not None and not self._read_only:
+                try:
+                    path.touch()              # refresh LRU recency
+                except OSError:
+                    pass
         if payload is None:
             self.stats.misses += 1
-            if not self._read_only:
-                self._bump("misses")
+            self._bump("misses")
             _metrics.counter("kernel_cache_misses_total",
                              "persistent kernel-cache misses").inc()
             return None
-        if not self._read_only:
-            try:
-                path.touch()              # refresh LRU recency
-            except OSError:
-                pass
-            self._bump("hits")
         self.stats.hits += 1
+        self._bump("hits")
         _metrics.counter("kernel_cache_hits_total",
                          "persistent kernel-cache hits").inc()
         return payload
@@ -454,7 +467,26 @@ class KernelCache:
             corrupt=quarantined)
 
 
-_DEFAULT_CACHE: Optional[KernelCache] = None
+#: process-wide tiers, one per (kind, root)
+_DEFAULT_TIERS: Dict[tuple, object] = {}
+
+
+def default_tier(disable_env: str, root: Optional[pathlib.Path],
+                 factory: Callable):
+    """The process-wide tier ``factory(root)``, memoised per root.
+
+    None when ``$disable_env`` is ``off``/``0``/``no`` or no root is
+    configured.  Keyed by root, so a changed ``$LIMPET_CACHE_DIR`` or
+    ``$LIMPET_ARTIFACT_DIR`` is followed, never pinned.
+    """
+    if os.environ.get(disable_env, "").lower() in ("off", "0", "no") \
+            or root is None:
+        return None
+    key = (factory, str(root))
+    tier = _DEFAULT_TIERS.get(key)
+    if tier is None:
+        tier = _DEFAULT_TIERS[key] = factory(root)
+    return tier
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -466,10 +498,6 @@ def default_cache_dir() -> pathlib.Path:
 
 
 def default_cache() -> Optional[KernelCache]:
-    """The process-wide cache (None when ``LIMPET_KERNEL_CACHE=off``)."""
-    global _DEFAULT_CACHE
-    if os.environ.get(_ENV_DISABLE, "").lower() in ("off", "0", "no"):
-        return None
-    if _DEFAULT_CACHE is None:
-        _DEFAULT_CACHE = KernelCache(default_cache_dir())
-    return _DEFAULT_CACHE
+    """The process-wide cache for :func:`default_cache_dir` (None when
+    ``LIMPET_KERNEL_CACHE=off``)."""
+    return default_tier(_ENV_DISABLE, default_cache_dir(), KernelCache)

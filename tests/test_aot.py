@@ -21,7 +21,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import Tracer
 from repro.runtime.executor import KernelRunner
-from repro.runtime.kernel_cache import KernelCache, payload_checksum
+from repro.runtime.kernel_cache import (KernelCache, payload_checksum,
+                                        read_entry)
 
 COMPILE_SPANS = {"passes", "verify", "lowering"}
 
@@ -192,17 +193,6 @@ class TestArtifactTier:
             cache=None)
         assert not runner.artifact_hit
 
-    def test_corrupt_entry_left_in_place_and_missed(self, bundle):
-        manifest = json.loads((bundle / "manifest.json").read_text())
-        (key,) = manifest["entries"]
-        path = bundle / f"{key}.json"
-        path.write_text(path.read_text()[:40])
-        corrupt = _metric("artifact_corrupt_total")
-        store = ArtifactStore(bundle)
-        assert store.lookup_kernel(key) is None
-        assert _metric("artifact_corrupt_total") == corrupt + 1
-        assert path.exists(), "runtime tier must never mutate the bundle"
-
     def test_metrics_reach_prometheus_exposition(self, bundle):
         manifest = json.loads((bundle / "manifest.json").read_text())
         (key,) = manifest["entries"]
@@ -272,15 +262,6 @@ class TestAudit:
         (bundle / f"{key}.json").unlink()
         report = audit_bundle(bundle)
         assert not report.ok and self._kinds(report) == {"missing"}
-
-    def test_corrupt_entry_quarantined(self, bundle):
-        key = self._key(bundle)
-        path = bundle / f"{key}.json"
-        path.write_text(path.read_text()[:40])
-        report = audit_bundle(bundle)
-        assert not report.ok and self._kinds(report) == {"corrupt"}
-        assert not path.exists()
-        assert (bundle / "quarantine" / f"{key}.json").exists()
 
     def test_stale_counter_increments(self, bundle):
         stale = _metric("artifact_stale_total")
@@ -359,15 +340,6 @@ class TestReadOnlyKernelCache:
         assert (tmp_path / f"{self.KEY}.json").stat().st_mtime_ns \
             == entry_mtime, "read-only hit refreshed LRU recency"
 
-    def test_corrupt_entry_left_in_place_read_only(self, tmp_path):
-        self._seed(tmp_path)
-        path = tmp_path / f"{self.KEY}.json"
-        path.write_text("{ torn")
-        cache = KernelCache(tmp_path, read_only=True)
-        assert cache.load(self.KEY) is None
-        assert path.exists()
-        assert not (tmp_path / "quarantine").exists()
-
     def test_store_failure_degrades_to_read_only(self, tmp_path,
                                                  monkeypatch):
         self._seed(tmp_path)
@@ -397,6 +369,159 @@ class TestReadOnlyKernelCache:
             assert cache.load(self.KEY) is not None
         finally:
             os.chmod(root, 0o755)
+
+
+# ---------------------------------------------------------------------------
+# one store: the shared entry reader and its callers' dispositions
+# ---------------------------------------------------------------------------
+
+
+def _corrupt_entry(path, mode):
+    """Break one entry file: torn write, bit rot, or a stale format
+    version (with a checksum that is valid for the stale entry)."""
+    if mode == "truncate":
+        path.write_text(path.read_text()[:40])
+        return
+    entry = json.loads(path.read_text())
+    if mode == "scramble":
+        entry["checksum"] = "0" * 64
+    else:
+        entry["format"] -= 1
+        entry["checksum"] = payload_checksum(entry)
+    path.write_text(json.dumps(entry))
+
+
+class TestCorruptEntryDispositions:
+    """Every kernel-cache and bundle entry is verified by one reader;
+    each caller keeps its own disposition for what the reader rejects."""
+
+    KEY = "a" * 64
+
+    def _cache_entry(self, tmp_path, mode):
+        root = tmp_path / "cache"
+        KernelCache(root).store(self.KEY, "def k(): pass", "vector", 8,
+                                [], "k", fused=False, arena=False)
+        path = root / f"{self.KEY}.json"
+        _corrupt_entry(path, mode)
+        return root, path
+
+    def _bundle_entry(self, tmp_path, mode):
+        root = tmp_path / "bundle"
+        build_bundle(root, models=["Plonsey"], include_tuned=False,
+                     width=8)
+        (key,) = json.loads((root / "manifest.json").read_text())["entries"]
+        path = root / f"{key}.json"
+        _corrupt_entry(path, mode)
+        return root, key, path
+
+    def _writable_cache(self, tmp_path, mode):
+        root, path = self._cache_entry(tmp_path, mode)
+        corrupt = _metric("kernel_cache_corrupt_total")
+        cache = KernelCache(root)
+        assert cache.load(self.KEY) is None
+        assert cache.stats.corrupt == 1
+        assert _metric("kernel_cache_corrupt_total") == corrupt + 1
+        assert not path.exists()
+        assert (root / "quarantine" / path.name).exists()
+        assert cache.persistent_stats().corrupt == 1
+
+    def _read_only_cache(self, tmp_path, mode):
+        root, path = self._cache_entry(tmp_path, mode)
+        before = path.read_bytes()
+        cache = KernelCache(root, read_only=True)
+        assert cache.load(self.KEY) is None
+        assert cache.stats.corrupt == 1
+        assert path.read_bytes() == before
+        assert not (root / "quarantine").exists()
+
+    def _lookup_kernel(self, tmp_path, mode):
+        root, key, path = self._bundle_entry(tmp_path, mode)
+        before = path.read_bytes()
+        corrupt = _metric("artifact_corrupt_total")
+        assert ArtifactStore(root).lookup_kernel(key) is None
+        assert _metric("artifact_corrupt_total") == corrupt + 1
+        assert path.read_bytes() == before, \
+            "runtime tier must never mutate the bundle"
+        assert not (root / "quarantine").exists()
+
+    def _build_bundle(self, tmp_path, mode):
+        root, key, path = self._bundle_entry(tmp_path, mode)
+        report = build_bundle(root, models=["Plonsey"],
+                              include_tuned=False, width=8)
+        assert report.built == 1 and report.reused == 0
+        entry, reason = read_entry(path, BUNDLE_FORMAT_VERSION)
+        assert reason is None and entry["key"] == key
+
+    def _audit_bundle(self, tmp_path, mode):
+        root, key, path = self._bundle_entry(tmp_path, mode)
+        corrupt = _metric("artifact_corrupt_total")
+        report = audit_bundle(root)
+        assert not report.ok
+        assert {f.kind for f in report.findings} == {"corrupt"}
+        assert _metric("artifact_corrupt_total") == corrupt + 1
+        assert not path.exists()
+        assert (root / "quarantine" / f"{key}.json").exists()
+
+    @pytest.mark.parametrize("mode", ["truncate", "scramble",
+                                      "stale_format"])
+    @pytest.mark.parametrize("caller", [
+        "writable_cache", "read_only_cache", "lookup_kernel",
+        "build_bundle", "audit_bundle"])
+    def test_disposition(self, tmp_path, caller, mode):
+        getattr(self, f"_{caller}")(tmp_path, mode)
+
+    def test_missing_entry_is_not_corrupt(self, tmp_path):
+        assert read_entry(tmp_path / "absent.json", 1) == (None, None)
+
+
+# ---------------------------------------------------------------------------
+# tier resolution: followed per root, resolved once per resilient compile
+# ---------------------------------------------------------------------------
+
+
+class TestTierResolution:
+    def test_default_cache_follows_the_env(self, tmp_path, monkeypatch):
+        from repro.runtime.kernel_cache import default_cache
+        generated = lambda: generate_limpet_mlir(  # noqa: E731
+            load_model("Plonsey"), width=8)
+        monkeypatch.setenv("LIMPET_CACHE_DIR", str(tmp_path / "one"))
+        KernelRunner(generated(), cache=True, artifacts=False)
+        assert KernelRunner(generated(), cache=True,
+                            artifacts=False).cache_hit
+
+        monkeypatch.setenv("LIMPET_CACHE_DIR", str(tmp_path / "two"))
+        assert default_cache().root == tmp_path / "two"
+        runner = KernelRunner(generated(), cache=True, artifacts=False)
+        assert not runner.cache_hit, "still served from the first dir"
+        assert runner.cache.root == tmp_path / "two"
+        assert list((tmp_path / "two").glob("*.json"))
+
+        monkeypatch.setenv("LIMPET_CACHE_DIR", str(tmp_path / "one"))
+        assert default_cache().root == tmp_path / "one"
+        assert KernelRunner(generated(), cache=True,
+                            artifacts=False).cache_hit
+
+        monkeypatch.setenv("LIMPET_KERNEL_CACHE", "off")
+        assert default_cache() is None
+
+    def test_fault_drill_never_served_from_a_mounted_bundle(
+            self, tmp_path, monkeypatch):
+        from repro.resilience import (FaultInjector, FaultPlan,
+                                      compile_resilient)
+        root = tmp_path / "bundle"
+        report = build_bundle(root, models=["LuoRudy91"],
+                              include_tuned=False, width=8)
+        assert report.built == 1 and not report.failed
+        monkeypatch.setenv("LIMPET_ARTIFACT_DIR", str(root))
+        assert compile_resilient("LuoRudy91").runner.artifact_hit
+
+        compiled = compile_resilient(
+            "LuoRudy91", inject=FaultInjector(FaultPlan(fail_pass="cse")),
+            reproducer_dir=tmp_path / "repro")
+        assert compiled.sandbox is not None
+        assert compiled.sandbox.quarantined == {"cse"}
+        assert not compiled.runner.artifact_hit
+        assert compiled.runner.artifacts is None
 
 
 # ---------------------------------------------------------------------------

@@ -221,3 +221,60 @@ class TestKernelSourceQuality:
         # markov/BE inner loops would use 'for'; this model has none
         assert "for " not in runner.kernel.source
         assert "np.arange" in runner.kernel.source
+
+
+class TestStepLoopEquivalence:
+    """Every run variant advances the state through the same step loop:
+    timing, tracing, hooks and a never-firing watchdog must not change
+    a single bit of the trajectory."""
+
+    N_CELLS, N_STEPS, DT = 37, 50, 0.01
+
+    VARIANTS = {
+        "time_breakdown": dict(time_breakdown=True),
+        "record_vm": dict(record_vm=True),
+        "step_hook": dict(step_hook=lambda state: None),
+        "watchdog": dict(check_interval=7),
+        "record_vm+watchdog": dict(record_vm=True, check_interval=7),
+        "record_vm+time_breakdown+hook": dict(
+            record_vm=True, time_breakdown=True,
+            step_hook=lambda state: None),
+    }
+
+    def _run(self, runner, check_interval=None, **kwargs):
+        from repro.resilience import WatchdogConfig
+        state = runner.make_state(self.N_CELLS, perturbation=0.01,
+                                  rng=np.random.default_rng(7))
+        watchdog = None if check_interval is None \
+            else WatchdogConfig(check_interval=check_interval)
+        return runner.run(state, self.N_STEPS, self.DT,
+                          stimulus=Stimulus(), watchdog=watchdog,
+                          **kwargs)
+
+    @pytest.mark.parametrize("model", ["LuoRudy91", "FitzHughNagumo"])
+    def test_variants_bitwise_identical(self, model):
+        from repro.models import load_model as load_registry_model
+        runner = KernelRunner(
+            generate_limpet_mlir(load_registry_model(model), 8),
+            artifacts=False)
+        ref = self._run(runner)
+        ref_snap = ref.state.snapshot()
+        traces = {}
+        for name, kwargs in self.VARIANTS.items():
+            got = self._run(runner, **kwargs)
+            snap = got.state.snapshot()
+            assert snap.keys() == ref_snap.keys(), name
+            for key in snap:
+                assert np.array_equal(snap[key], ref_snap[key]), \
+                    f"{name}: {key} differs from the plain run"
+            assert got.state.time == ref.state.time, name
+            assert got.state.steps_done == ref.state.steps_done \
+                == self.N_STEPS, name
+            assert got.n_steps == self.N_STEPS, name
+            if kwargs.get("record_vm"):
+                assert got.vm_trace.shape == (self.N_STEPS,), name
+                traces[name] = got.vm_trace
+        first = next(iter(traces.values()))
+        assert first[-1] == ref_snap["Vm"][0]
+        for name, trace in traces.items():
+            assert np.array_equal(trace, first), name
