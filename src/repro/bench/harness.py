@@ -271,8 +271,8 @@ def resilient_sweep(model_names: Optional[Sequence[str]] = None,
         if workers > 1:
             try:
                 from ..runtime.supervised import SupervisedRunner
-                supervised = SupervisedRunner(
-                    compiled.kernel, n_workers=workers,
+                supervised = SupervisedRunner.from_runner(
+                    compiled.runner, n_workers=workers,
                     config=supervision,
                     fault_plan=getattr(inject, "plan", None))
                 runner = supervised

@@ -545,7 +545,8 @@ def cmd_run(model_name: str, backend: str, width: int, cells: int,
     supervised = None
     if workers and workers > 1:
         from .runtime import SupervisedRunner
-        supervised = SupervisedRunner(compiled.kernel, n_workers=workers)
+        supervised = SupervisedRunner.from_runner(compiled.runner,
+                                                  n_workers=workers)
         runner = supervised
     guard = None if watchdog == "off" else WatchdogConfig(policy=watchdog)
     try:
@@ -982,15 +983,13 @@ def cmd_trace(model_name: Optional[str], backend: str, width: int,
                       "(unavailable on this platform)", file=sys.stderr)
                 return EXIT_FAILURE
             runner = SupervisedRunner(generated, n_workers=workers)
-            try:
-                state = runner.make_state(cells)
-                runner.run(state, steps, dt)
-            finally:
-                runner.close()
         else:
             runner = KernelRunner(generated, profile=profile)
-            state = runner.make_state(cells)
-            runner.run(state, steps, dt)
+        try:
+            runner.run(runner.make_state(cells), steps, dt)
+        finally:
+            if workers:
+                runner.close()
     finally:
         _trace.deactivate(previous)
     print(tracer.summary_tree())

@@ -237,20 +237,16 @@ class PopulationRunner:
                 self._runner_cells == cells_per_instance:
             return self._runner
         self.close()
-        kwargs = dict(self._runner_kwargs)
-        kwargs["population"] = self.spec.fingerprint()
-        if self.n_workers > 0:
+        kwargs = dict(self._runner_kwargs,
+                      population=self.spec.fingerprint())
+        n_shards = self.n_workers or self.n_threads
+        if self.n_workers > 0 or n_shards > 1:
             from ..runtime.supervised import SupervisedRunner
-            runner: KernelRunner = SupervisedRunner(
-                self.generated, n_workers=self.n_workers,
-                shard_plan=self._shard_plan(cells_per_instance,
-                                            self.n_workers),
-                **kwargs)
-        elif self.n_threads > 1:
-            runner = ShardedRunner(
-                self.generated, n_threads=self.n_threads,
-                shard_plan=self._shard_plan(cells_per_instance,
-                                            self.n_threads),
+            # the shard executor: worker processes, or threads only
+            cls = SupervisedRunner if self.n_workers > 0 else ShardedRunner
+            runner: KernelRunner = cls(
+                self.generated, n_shards,
+                shard_plan=self._shard_plan(cells_per_instance, n_shards),
                 **kwargs)
         else:
             runner = KernelRunner(self.generated, **kwargs)
@@ -261,10 +257,9 @@ class PopulationRunner:
     def _shard_plan(self, cells_per_instance: int, n_shards: int):
         if self.shard_axis != "instances":
             return None
-        plan = instance_shard_plan(self.spec.n_instances,
+        return instance_shard_plan(self.spec.n_instances,
                                    cells_per_instance, n_shards,
                                    self.width)
-        return plan
 
     @property
     def cache_hit(self) -> bool:

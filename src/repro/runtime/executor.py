@@ -212,6 +212,18 @@ class KernelRunner:
         # prebound compute_step arguments (rebuilt on state/dt/sv change)
         self._bound: Optional[tuple] = None
 
+    @classmethod
+    def from_runner(cls, runner: "KernelRunner", *args, **kwargs):
+        """A ``cls`` runner over ``runner``'s already-compiled kernel
+        (its key and compile time too): no second passes/verify/lowering
+        build of ``runner.generated``.  Arguments are the constructor's."""
+        self = cls.__new__(cls)
+        self._adopted = runner
+        self.__init__(runner.generated, *args, fuse=runner.fuse,
+                      arena=runner.arena, profile=runner.profile, **kwargs)
+        self.compile_seconds = runner.compile_seconds
+        return self
+
     def _tuned_variant(self, generated: GeneratedKernel, fuse: bool,
                        arena: bool, n_cells: int, dt: float, db):
         """The tuning DB's winning variant for this workload, if any.
@@ -242,7 +254,12 @@ class KernelRunner:
         """Exec the first tier holding the kernel: a bundled
         :class:`~repro.aot.bundle.ArtifactKernel`'s own payload, then
         the kernel cache and the bundle's key tier (:meth:`_lookup_stored`);
-        else JIT (:meth:`_jit`)."""
+        else JIT (:meth:`_jit`).  :meth:`from_runner` skips them all."""
+        adopted = self.__dict__.pop("_adopted", None)
+        if adopted is not None:
+            for name in ("cache", "cache_key", "cache_hit", "artifact_hit"):
+                setattr(self, name, getattr(adopted, name))
+            return adopted.kernel
         generated = self.generated
         payload = getattr(generated, "payload", None)
         if payload and generated.module is None:

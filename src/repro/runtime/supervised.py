@@ -1,11 +1,11 @@
 """Supervised multiprocess execution: crash-isolated worker shards.
 
-The thread tier (:class:`~repro.runtime.sharded.ShardedRunner`) shares
-one address space, so a crash anywhere — a segfaulting foreign
-function, an OOM kill, a wedged extension — takes the whole sweep with
-it.  This tier puts each width-aligned cell shard in its **own worker
-process** over :mod:`multiprocessing.shared_memory`-backed state
-arrays, supervised by the parent:
+Threads share one address space, so a crash anywhere — a segfaulting
+foreign function, an OOM kill, a wedged extension — takes the whole
+sweep with it.  :class:`ProcessPool`, the rung above
+:class:`~repro.runtime.sharded.ThreadPool`, runs each shard in its
+**own worker process** over shared-memory state, supervised by the
+parent:
 
 * **fork + inherited views** — workers are forked *after* the state is
   moved into shared memory, so they inherit the parent's numpy views
@@ -18,45 +18,36 @@ arrays, supervised by the parent:
 * **bounded retry** — a failed shard is restored from the pre-step
   backup (shards are disjoint, so only the failed slice is touched),
   the worker is respawned, and the task re-dispatched with exponential
-  backoff, up to ``max_retries`` times;
-* **graceful degradation** — when supervision itself gives up
-  (:class:`SupervisedExecutionError`), the run restarts from its
-  initial checkpoint one tier down the ladder
-  (supervised-multiprocess → thread-sharded → single-process), each
-  step recorded as a :class:`~repro.resilience.diagnostics.Diagnostic`
-  and counted in ``degradations_total``.
+  backoff, up to ``max_retries`` times; past that the pool raises
+  :class:`~repro.runtime.sharded.SupervisedExecutionError` and the
+  runner drops to the next rung.
 
-Correctness invariant: shards are disjoint width-aligned cell ranges
-of a cell-local model, workers run the *same compiled kernel* the
-parent would (fork-inherited) and rebuild LUTs deterministically per
-quantized dt, so supervised trajectories are **bitwise identical** to
-single-process runs (proven by the differential tests).
-
-Deliberately *not* a throughput feature on small machines: process
-supervision buys crash isolation; the paper's scaling story stays with
-the thread tier.
+Workers run the *same compiled kernel* the parent would
+(fork-inherited) and rebuild LUTs deterministically per quantized dt,
+so supervised trajectories stay **bitwise identical** to
+single-process runs.  Process supervision buys crash isolation, not
+throughput: the paper's scaling story stays with the thread rung.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import multiprocessing as mp
 import os
 import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..codegen.common import GeneratedKernel
 from ..obs import flight as _flight
-from ..obs import ledger as _ledger
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .executor import KernelRunner
-from .sharded import ShardedRunner
+from .sharded import InlinePool, ShardedRunner, SupervisedExecutionError
 from .state import SimulationState
 
 try:                        # gate, don't require (minimal builds)
@@ -64,30 +55,11 @@ try:                        # gate, don't require (minimal builds)
 except ImportError:         # pragma: no cover - exotic platform
     _shm_mod = None
 
-#: the degradation ladder, most to least isolated
-TIERS = ("supervised", "threads", "single")
-
 
 def multiprocess_supported() -> bool:
     """True when this platform can run the supervised tier (POSIX
     fork + ``multiprocessing.shared_memory``)."""
     return _shm_mod is not None and "fork" in mp.get_all_start_methods()
-
-
-class SupervisedExecutionError(RuntimeError):
-    """Supervision gave up on a shard: retries exhausted.
-
-    ``run`` treats this as the signal to degrade one tier down the
-    ladder; it only escapes to the caller when degradation is disabled
-    or already exhausted.
-    """
-
-    def __init__(self, message: str, slot: int = -1, attempts: int = 0,
-                 step: int = -1):
-        super().__init__(message)
-        self.slot = slot
-        self.attempts = attempts
-        self.step = step
 
 
 @dataclass
@@ -129,7 +101,7 @@ class _WorkerFault:
     stall_seconds: float = 30.0
 
 
-def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
+def _worker_entry(runner: ShardedRunner, state: SimulationState,
                   slot: int, conn, heartbeats: np.ndarray,
                   config: SupervisionConfig,
                   fault: Optional[_WorkerFault],
@@ -214,32 +186,41 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
         stop.set()
 
 
+#: free-text failure prefix -> low-cardinality metric label
+_FAILURE_KINDS = (("worker exception", "exception"),
+                  ("worker pipe", "pipe_closed"), ("worker died", "died"),
+                  ("heartbeat", "stalled"), ("task deadline", "deadline"))
+
+
 def _failure_kind(failure: str) -> str:
-    """Fold a free-text failure reason into a low-cardinality label
-    (labels are metric dimensions: bounded values only)."""
-    if failure.startswith("worker exception"):
-        return "exception"
-    if failure.startswith("worker pipe"):
-        return "pipe_closed"
-    if failure.startswith("worker died"):
-        return "died"
-    if failure.startswith("heartbeat"):
-        return "stalled"
-    if failure.startswith("task deadline"):
-        return "deadline"
-    return "other"
+    """Fold a failure reason into a bounded label value."""
+    return next((kind for prefix, kind in _FAILURE_KINDS
+                 if failure.startswith(prefix)), "other")
 
 
-#: every live runner, so interpreter exit / signal shutdown can reap
-#: worker processes and unlink shared-memory segments
-_ACTIVE_RUNNERS: "weakref.WeakSet[SupervisedRunner]" = weakref.WeakSet()
+def _release(shm) -> None:
+    """Close and unlink a shared-memory segment."""
+    with contextlib.suppress(BufferError):     # an exported view
+        shm.close()
+    with contextlib.suppress(FileNotFoundError):   # already gone
+        shm.unlink()
+
+
+def _workers_gauge():
+    return _metrics.gauge("supervised_workers",
+                          "live worker processes of the supervised tier")
+
+
+#: every live process pool, so interpreter exit / signal shutdown can
+#: reap worker processes and unlink shared-memory segments
+_ACTIVE_POOLS: "weakref.WeakSet[ProcessPool]" = weakref.WeakSet()
 
 
 def close_all_runners() -> None:
-    """Close every live :class:`SupervisedRunner` (shutdown hook)."""
-    for runner in list(_ACTIVE_RUNNERS):
+    """Close every live :class:`ProcessPool` (shutdown hook)."""
+    for pool in list(_ACTIVE_POOLS):
         try:
-            runner.close()
+            pool.close()
         except Exception:               # pragma: no cover - best effort
             pass
 
@@ -251,28 +232,23 @@ from .shutdown import register_cleanup as _register_cleanup  # noqa: E402
 _register_cleanup(close_all_runners, "supervised-runners")
 
 
-class SupervisedRunner(ShardedRunner):
-    """A runner that executes compute steps in supervised worker
-    processes, degrading down the tier ladder on supervision failure.
+class ProcessPool(InlinePool):
+    """The processes rung: each shard in a supervised worker process.
 
-    ``n_workers`` bounds the process count (shards are width-aligned,
-    so fewer may run for small cell counts); ``fault_plan`` arms
-    deterministic process-level faults
-    (:class:`~repro.resilience.faultinject.FaultPlan`) for drills.
-    Use as a context manager or call :meth:`close` — unclosed runners
-    are reaped at interpreter exit.
+    :meth:`attach` moves the run's state into shared memory and forks
+    one worker per shard; :meth:`detach` stops them and copies the
+    segment back.  ``fault_plan`` arms deterministic process-level
+    faults (:class:`~repro.resilience.faultinject.FaultPlan`) for
+    drills.
     """
 
-    def __init__(self, generated: GeneratedKernel, n_workers: int = 0,
-                 config: Optional[SupervisionConfig] = None,
-                 fault_plan=None, **kwargs):
-        n_workers = n_workers or (os.cpu_count() or 1)
-        super().__init__(generated, n_threads=n_workers, **kwargs)
-        self.n_workers = n_workers
-        self.config = config or SupervisionConfig()
+    name = "supervised"
+
+    def __init__(self, runner: ShardedRunner, config: SupervisionConfig,
+                 fault_plan=None):
+        super().__init__(runner)
+        self.config = config
         self.fault_plan = fault_plan
-        self.diagnostics: List = []
-        self._tier = TIERS[0]
         self._seq = 0
         self._procs: List[Optional[mp.process.BaseProcess]] = []
         self._conns: List = []
@@ -290,134 +266,44 @@ class SupervisedRunner(ShardedRunner):
                          "shard tasks re-dispatched after a failure")
         _metrics.counter("degradations_total",
                          "execution-tier downgrades taken")
-        _metrics.gauge("supervised_workers",
-                       "live worker processes of the supervised tier")
-        if not multiprocess_supported():    # pragma: no cover - POSIX CI
-            self._record_degradation(
-                TIERS[1], RuntimeError(
-                    "platform lacks fork/shared_memory"))
-        _ACTIVE_RUNNERS.add(self)
+        _workers_gauge()
 
-    @property
-    def tier(self) -> str:
-        """The execution tier currently in effect."""
-        return self._tier
+    def attach(self, state: SimulationState) -> None:
+        _ACTIVE_POOLS.add(self)
+        self._attach_state(state)
+        self._ensure_workers(state)
 
-    @property
-    def execution_tier(self) -> str:
-        """Ledger-facing tier name (overrides the static base names)."""
-        return self._tier
+    def detach(self) -> None:
+        self._detach_state()
 
-    # -- the degradation ladder ----------------------------------------------------
+    def close(self) -> None:
+        self._detach_state()
+        self._shutdown_workers()
+        _ACTIVE_POOLS.discard(self)
 
-    def _record_degradation(self, target: str, error: BaseException) -> None:
-        from ..resilience.diagnostics import (Diagnostic, Severity,
-                                              log_diagnostic)
-        # which shard failed at which step, when supervision knows
-        slot = getattr(error, "slot", None)
-        step = getattr(error, "step", None)
-        attempts = getattr(error, "attempts", None)
-        diag = Diagnostic.from_exception(
-            stage="run", component="supervised", exc=error,
-            severity=Severity.WARNING, with_traceback=False,
-            from_tier=self._tier, to_tier=target, model=self.model.name,
-            slot=slot, step=step, attempts=attempts)
-        diag.message = (f"degrading {self._tier} -> {target}: "
-                        f"{diag.message}")
-        log_diagnostic(diag)
-        self.diagnostics.append(diag)
-        from_tier = self._tier
-        self._tier = target
-        _metrics.counter("degradations_total",
-                         "execution-tier downgrades taken").inc()
-        _metrics.gauge("supervised_workers",
-                       "live worker processes of the supervised "
-                       "tier").set(0)
-        _flight.dump("degradation",
-                     extra={"from_tier": from_tier, "to_tier": target,
-                            "model": self.model.name, "slot": slot,
-                            "step": step, "attempts": attempts})
-        _ledger.record_event("degradation", model=self.model.name,
-                             tier=target, from_tier=from_tier,
-                             disposition="degraded", slot=slot,
-                             step=step, attempts=attempts)
+    # -- one supervised compute step -----------------------------------------------
 
-    def _degrade(self, target: str, error: BaseException):
-        """Step down to ``target``, or re-raise when already there."""
-        if not self.config.degrade or \
-                TIERS.index(target) <= TIERS.index(self._tier):
-            raise error
-        self._record_degradation(target, error)
-
-    # -- run: attach state, supervise, degrade on failure --------------------------
-
-    def run(self, state: SimulationState, n_steps: int, dt: float = 0.01,
-            stimulus=None, record_vm: bool = False, watchdog=None,
-            step_hook=None, time_breakdown: bool = False):
-        from ..resilience.watchdog import NumericalDivergenceError
-        if self._tier != "supervised":
-            return super().run(state, n_steps, dt, stimulus, record_vm,
-                               watchdog, step_hook, time_breakdown)
-        initial = state.checkpoint()
-        while True:
-            try:
-                if self._tier == "supervised":
-                    self._attach_state(state)
-                    try:
-                        self._ensure_workers(state)
-                        return super().run(state, n_steps, dt, stimulus,
-                                           record_vm, watchdog,
-                                           step_hook, time_breakdown)
-                    finally:
-                        self._detach_state()
-                return super().run(state, n_steps, dt, stimulus,
-                                   record_vm, watchdog, step_hook,
-                                   time_breakdown)
-            except NumericalDivergenceError:
-                raise           # a watchdog verdict, not an infra failure
-            except SupervisedExecutionError as err:
-                self._shutdown_workers()
-                state.restore(initial)
-                self._degrade("threads", err)
-            except Exception as err:
-                self._shutdown_workers()
-                state.restore(initial)
-                self._degrade("single", err)
-
-    # -- compute-step dispatch -----------------------------------------------------
-
-    def compute_step(self, state: SimulationState, dt: float) -> None:
-        if self._tier == "supervised" and self._procs \
-                and state is self._attached:
-            self._supervised_step(state, dt)
-        elif self._tier == "threads":
-            ShardedRunner.compute_step(self, state, dt)
-        else:
-            KernelRunner.compute_step(self, state, dt)
-
-    def _supervised_step(self, state: SimulationState, dt: float) -> None:
-        shards = self.shards_for(state)
-        if len(shards) <= 1:
-            KernelRunner.compute_step(self, state, dt)
+    def run_shards(self, state, shards, args) -> None:
+        if state is not self._attached or not self._procs:
+            # not a run's state (or one shard): nothing to supervise
+            super().run_shards(state, shards, args)
             return
+        dt, now = args[2], args[3]
         # pre-step backup: a failed shard restores only its own slice
         # before re-dispatch, so retried kernels re-run from identical
         # inputs (idempotent re-execution)
-        backup_sv = state.sv.copy()
-        backup_ext = {k: v.copy() for k, v in state.externals.items()}
-        now = state.time
-        pending: Dict[int, Tuple[int, int, int]] = {}
-        deadlines: Dict[int, float] = {}
-        attempts: Dict[int, int] = {}
-        for slot, (start, end) in enumerate(shards):
-            pending[slot] = (self._dispatch(slot, start, end, dt, now),
-                             start, end)
-            deadlines[slot] = time.monotonic() + self.config.task_timeout
-            attempts[slot] = 0
+        backup = state.checkpoint()
+        def dispatch(slot: int, start: int, end: int) -> tuple:
+            return (self._dispatch(slot, start, end, dt, now), start, end,
+                    time.monotonic() + self.config.task_timeout)
+
+        pending = {slot: dispatch(slot, start, end)
+                   for slot, (start, end) in enumerate(shards)}
+        attempts = dict.fromkeys(pending, 0)
         while pending:
             for slot in list(pending):
-                seq, start, end = pending[slot]
-                failure = self._poll_slot(slot, seq, deadlines[slot])
+                seq, start, end, deadline = pending[slot]
+                failure = self._poll_slot(slot, seq, deadline)
                 if failure == "pending":
                     continue
                 if failure is None:
@@ -449,14 +335,10 @@ class SupervisedRunner(ShardedRunner):
                         step=state.steps_done)
                 self._restart_worker(slot, failure,
                                      step=state.steps_done)
-                self._restore_shard(state, backup_sv, backup_ext,
-                                    start, end)
+                self._restore_shard(state, backup, start, end)
                 time.sleep(self.config.retry_backoff
                            * (2 ** (attempts[slot] - 1)))
-                pending[slot] = (self._dispatch(slot, start, end, dt,
-                                                now), start, end)
-                deadlines[slot] = (time.monotonic()
-                                   + self.config.task_timeout)
+                pending[slot] = dispatch(slot, start, end)
 
     def _poll_slot(self, slot: int, seq: int,
                    deadline: float) -> Optional[str]:
@@ -485,30 +367,28 @@ class SupervisedRunner(ShardedRunner):
             return "task deadline exceeded"
         return "pending"
 
-    def _restore_shard(self, state: SimulationState,
-                       backup_sv: np.ndarray, backup_ext: Dict,
+    def _restore_shard(self, state: SimulationState, backup,
                        start: int, end: int) -> None:
-        """Roll one shard's slice back to the pre-step backup.
+        """Roll one shard's slice back to the pre-step ``backup``.
 
         Shard bounds are width-aligned, so for AoS and AoSoA the cell
         range ``[start, end)`` is exactly the flat sv slice
         ``[start * n_states, end * n_states)``; SoA never reaches here
         (refused for >1 worker at construction).
         """
-        n_states = len(self.model.states)
+        n_states = len(self.runner.model.states)
         state.sv[start * n_states:end * n_states] = \
-            backup_sv[start * n_states:end * n_states]
-        for name, saved in backup_ext.items():
+            backup.sv[start * n_states:end * n_states]
+        for name, saved in backup.externals.items():
             state.externals[name][start:end] = saved[start:end]
 
     def _dispatch(self, slot: int, start: int, end: int, dt: float,
                   now: float) -> int:
         self._seq += 1
-        try:
+        # a dead worker's send fails: the poll path sees it and retries
+        with contextlib.suppress(OSError):
             self._conns[slot].send(("step", self._seq, start, end, dt,
                                     now))
-        except (OSError, BrokenPipeError):
-            pass    # the poll path will see the dead worker and retry
         return self._seq
 
     # -- worker lifecycle ----------------------------------------------------------
@@ -516,7 +396,7 @@ class SupervisedRunner(ShardedRunner):
     def _ensure_workers(self, state: SimulationState) -> None:
         if self._procs:
             return
-        shards = self.shards_for(state)
+        shards = self.runner.shards_for(state)
         if len(shards) <= 1:
             return                      # nothing to supervise: inline
         n = len(shards)
@@ -531,9 +411,7 @@ class SupervisedRunner(ShardedRunner):
         ctx = mp.get_context("fork")
         for slot in range(n):
             self._spawn_worker(ctx, slot)
-        _metrics.gauge("supervised_workers",
-                       "live worker processes of the supervised "
-                       "tier").set(n)
+        _workers_gauge().set(n)
 
     def _fault_for_slot(self, slot: int) -> Optional[_WorkerFault]:
         plan = self.fault_plan
@@ -559,8 +437,8 @@ class SupervisedRunner(ShardedRunner):
         trace_ctx = tracer.context() if tracer is not None else None
         proc = ctx.Process(
             target=_worker_entry,
-            args=(self, self._attached, slot, child_conn, self._hb_view,
-                  self.config, fault, trace_ctx),
+            args=(self.runner, self._attached, slot, child_conn,
+                  self._hb_view, self.config, fault, trace_ctx),
             daemon=True, name=f"limpet-worker-{slot}")
         proc.start()
         child_conn.close()
@@ -576,19 +454,20 @@ class SupervisedRunner(ShardedRunner):
                          "respawned").inc()
         from ..resilience.diagnostics import (Diagnostic, Severity,
                                               log_diagnostic)
+        model = self.runner.model.name
         diag = Diagnostic(
             stage="run", component="supervised",
             message=f"restarted worker {slot}: {reason}",
             severity=Severity.WARNING,
             data={"slot": slot, "reason": reason, "step": step,
-                  "model": self.model.name})
+                  "model": model})
         log_diagnostic(diag)
-        self.diagnostics.append(diag)
+        self.runner.diagnostics.append(diag)
         # black-box the moments before the death; the respawn marker
         # lands in the merged trace next to the dead worker's spans
         _flight.dump("worker_death",
                      extra={"slot": slot, "reason": reason,
-                            "step": step, "model": self.model.name,
+                            "step": step, "model": model,
                             "spawns": self._spawns[slot]})
         self._spawn_worker(mp.get_context("fork"), slot)
         _trace.instant("worker_respawn", slot=slot, reason=reason,
@@ -629,10 +508,8 @@ class SupervisedRunner(ShardedRunner):
         conn = self._conns[slot]
         if conn is not None:
             self._drain_conn(conn)
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
             self._conns[slot] = None
         proc = self._procs[slot]
         if proc is not None:
@@ -645,12 +522,10 @@ class SupervisedRunner(ShardedRunner):
             self._procs[slot] = None
 
     def _shutdown_workers(self) -> None:
-        for slot, conn in enumerate(self._conns):
+        for conn in self._conns:
             if conn is not None:
-                try:
+                with contextlib.suppress(OSError):
                     conn.send(("stop",))
-                except (OSError, BrokenPipeError):
-                    pass
         for slot, proc in enumerate(self._procs):
             if proc is not None:
                 proc.join(timeout=0.5)
@@ -660,18 +535,9 @@ class SupervisedRunner(ShardedRunner):
         self._spawns = []
         if self._hb_shm is not None:
             self._hb_view = None
-            try:
-                self._hb_shm.close()
-            except BufferError:         # pragma: no cover - exported view
-                pass
-            try:
-                self._hb_shm.unlink()
-            except FileNotFoundError:   # pragma: no cover - already gone
-                pass
+            _release(self._hb_shm)
             self._hb_shm = None
-        _metrics.gauge("supervised_workers",
-                       "live worker processes of the supervised "
-                       "tier").set(0)
+        _workers_gauge().set(0)
 
     # -- shared-memory state attach/detach -----------------------------------------
 
@@ -683,28 +549,21 @@ class SupervisedRunner(ShardedRunner):
             return
         if self._attached is not None:
             self._detach_state()
-        total = state.sv.nbytes + sum(a.nbytes
-                                      for a in state.externals.values())
-        self._state_shm = _shm_mod.SharedMemory(create=True,
-                                                size=max(total, 1))
-        buf = self._state_shm.buf
-        offset = 0
-        sv_view = np.ndarray(state.sv.shape, dtype=state.sv.dtype,
-                             buffer=buf, offset=offset)
-        sv_view[...] = state.sv
-        offset += state.sv.nbytes
-        ext_views: Dict[str, np.ndarray] = {}
-        for name, array in state.externals.items():
-            view = np.ndarray(array.shape, dtype=array.dtype,
-                              buffer=buf, offset=offset)
-            view[...] = array
+        arrays = [state.sv, *state.externals.values()]
+        self._state_shm = _shm_mod.SharedMemory(
+            create=True, size=max(sum(a.nbytes for a in arrays), 1))
+        views, offset = [], 0
+        for array in arrays:
+            views.append(np.ndarray(array.shape, dtype=array.dtype,
+                                    buffer=self._state_shm.buf,
+                                    offset=offset))
+            views[-1][...] = array
             offset += array.nbytes
-            ext_views[name] = view
         self._orig_arrays = (state.sv, dict(state.externals))
-        state.sv = sv_view
-        state.externals.update(ext_views)
+        state.sv = views[0]
+        state.externals.update(zip(state.externals, views[1:]))
         self._attached = state
-        self._bound = None              # stale prebound args hold old arrays
+        self.runner._bound = None   # stale prebound args hold old arrays
 
     def _detach_state(self) -> None:
         """Shut the workers down, copy the shared segment back into the
@@ -721,27 +580,36 @@ class SupervisedRunner(ShardedRunner):
         state.externals.update(orig_ext)
         self._attached = None
         self._orig_arrays = None
-        self._bound = None              # release view refs before close
-        try:
-            self._state_shm.close()
-        except BufferError:             # pragma: no cover - exported view
-            pass
-        try:
-            self._state_shm.unlink()
-        except FileNotFoundError:       # pragma: no cover - already gone
-            pass
+        self.runner._bound = None       # release view refs before close
+        _release(self._state_shm)
         self._state_shm = None
 
-    # -- lifecycle ------------------------------------------------------------------
 
-    def close(self) -> None:
-        self._detach_state()
-        self._shutdown_workers()
-        _ACTIVE_RUNNERS.discard(self)
-        super().close()
+class SupervisedRunner(ShardedRunner):
+    """The :class:`ShardedRunner` whose ladder is processes → threads →
+    inline: compute steps run in supervised worker processes, and a
+    failed run degrades (unless ``config.degrade`` is off).
 
-    def __enter__(self) -> "SupervisedRunner":
-        return self
+    ``n_workers`` bounds the process count (shards are width-aligned,
+    so fewer may run for small cell counts); ``fault_plan`` arms the
+    :class:`ProcessPool`'s drill faults.  Use as a context manager or
+    call :meth:`close` — unclosed pools are reaped at interpreter exit.
+    """
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __init__(self, generated: GeneratedKernel, n_workers: int = 0,
+                 config: Optional[SupervisionConfig] = None,
+                 fault_plan=None, **kwargs):
+        n_workers = n_workers or (os.cpu_count() or 1)
+        super().__init__(generated, n_threads=n_workers, **kwargs)
+        self.n_workers = n_workers
+        self.config = config or SupervisionConfig()
+        self.degrade = self.config.degrade
+        self.ladder.insert(0, ProcessPool(self, self.config, fault_plan))
+        if not multiprocess_supported():    # pragma: no cover - POSIX CI
+            self._drop(1, RuntimeError("platform lacks fork/shared_memory"))
+
+    # ShardedRunner's own functions, bound in this class's namespace so
+    # per-class instrumentation (perfbench/spans.py) can time supervised
+    # runs apart from thread-sharded ones
+    compute_step = ShardedRunner.compute_step
+    run = ShardedRunner.run

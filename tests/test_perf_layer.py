@@ -345,7 +345,7 @@ class TestShardedRunner:
         with ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
                            n_threads=1) as runner:
             runner.simulate(8, 5, 0.01)
-            assert runner._pool is None
+            assert runner.ladder[0]._executor is None
 
     def test_kernel_exceptions_propagate(self):
         with ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
@@ -355,6 +355,24 @@ class TestShardedRunner:
             state.sv = np.zeros(1)      # kernels fail inside the pool
             with pytest.raises((IndexError, ValueError)):
                 runner.compute_step(state, 0.01)
+
+    def test_run_reraises_thread_failure(self):
+        # a plain ShardedRunner never degrades: the run fails as is
+        with ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
+                           n_threads=2) as runner:
+            state = runner.make_state(64)
+            state.sv = np.zeros(1)
+            with pytest.raises((IndexError, ValueError)):
+                runner.run(state, 5, 0.01)
+            assert runner.execution_tier == "threads"
+
+    @pytest.mark.parametrize("plan", [[(0, 8), (16, 24)],    # gap
+                                      [(0, 16), (8, 24)],    # overlap
+                                      [(8, 16), (16, 24)]])  # no cell 0
+    def test_shard_plan_must_partition(self, plan):
+        with pytest.raises(ValueError, match="shard_plan"):
+            ShardedRunner(generate_limpet_mlir(load_model("LuoRudy91")),
+                          n_threads=2, shard_plan=plan)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.runtime import (KernelRunner, SupervisedExecutionError,
                            SupervisedRunner, SupervisionConfig,
                            close_all_runners, compare_trajectories,
                            multiprocess_supported)
+from repro.runtime.supervised import ProcessPool
 from repro.runtime.shutdown import (register_cleanup, run_cleanups,
                                     unregister_cleanup)
 
@@ -35,6 +36,27 @@ FAST = dict(heartbeat_interval=0.02, heartbeat_timeout=0.3,
 
 def make_generated(name):
     return generate_limpet_mlir(load_model(name))
+
+
+class KillEveryLife(ProcessPool):
+    # re-arm the fault on every spawn so the retry also dies
+    def _fault_for_slot(self, slot):
+        spawns = self._spawns[slot]
+        self._spawns[slot] = 0
+        try:
+            return super()._fault_for_slot(slot)
+        finally:
+            self._spawns[slot] = spawns
+
+
+def kill_every_life(sup):
+    """``sup`` with its process pool swapped for a :class:`KillEveryLife`."""
+    sup.ladder[0] = KillEveryLife(sup, sup.config, sup.ladder[0].fault_plan)
+    return sup
+
+
+def rung_down(*args):
+    raise RuntimeError("rung down")
 
 
 def run_single(name, n_cells, n_steps, dt=0.01):
@@ -120,7 +142,7 @@ class TestBitwiseDifferential:
             state = sup.make_state(16)
             sv_before = state.sv
             sup.run(state, 10, 0.01)
-            assert sup._state_shm is None
+            assert sup.ladder[0]._state_shm is None
             assert state.sv is sv_before
 
 
@@ -165,19 +187,9 @@ class TestCrashRecovery:
     def test_retries_exhausted_raises_when_degradation_off(self):
         plan = FaultPlan(kill_worker=0, kill_worker_at_task=1)
         config = SupervisionConfig(max_retries=0, degrade=False, **FAST)
-
-        class KillEveryLife(SupervisedRunner):
-            # re-arm the fault on every spawn so the retry also dies
-            def _fault_for_slot(self, slot):
-                spawns = self._spawns[slot]
-                self._spawns[slot] = 0
-                try:
-                    return super()._fault_for_slot(slot)
-                finally:
-                    self._spawns[slot] = spawns
-
-        with KillEveryLife(make_generated("Plonsey"), n_workers=2,
-                           fault_plan=plan, config=config) as sup:
+        with kill_every_life(SupervisedRunner(
+                make_generated("Plonsey"), n_workers=2, fault_plan=plan,
+                config=config)) as sup:
             state = sup.make_state(16)
             with pytest.raises(SupervisedExecutionError) as excinfo:
                 sup.run(state, 10, 0.01)
@@ -195,19 +207,9 @@ class TestDegradationLadder:
     def _always_dying(self, **kwargs):
         plan = FaultPlan(kill_worker=0, kill_worker_at_task=1)
         config = SupervisionConfig(max_retries=0, **FAST)
-
-        class KillEveryLife(SupervisedRunner):
-            def _fault_for_slot(self, slot):
-                spawns = self._spawns[slot]
-                self._spawns[slot] = 0
-                try:
-                    return super()._fault_for_slot(slot)
-                finally:
-                    self._spawns[slot] = spawns
-
-        return KillEveryLife(make_generated("FitzHughNagumo"),
-                             n_workers=2, fault_plan=plan, config=config,
-                             **kwargs)
+        return kill_every_life(SupervisedRunner(
+            make_generated("FitzHughNagumo"), n_workers=2,
+            fault_plan=plan, config=config, **kwargs))
 
     def test_degrades_to_threads_and_completes(self):
         expected = run_single("FitzHughNagumo", 19, 60)
@@ -285,6 +287,96 @@ class TestDegradationLadder:
         finally:
             sup.close()
 
+    def test_thread_rung_failure_restarts_inline(self, tmp_path,
+                                                 monkeypatch):
+        # the last rung: a non-supervision failure on the threads rung
+        # drops to the inline call, again from the initial checkpoint
+        from repro.obs import ledger
+        monkeypatch.setenv(ledger.LEDGER_ENV, str(tmp_path / "l.jsonl"))
+        expected = run_single("FitzHughNagumo", 19, 60)
+        with self._always_dying() as sup:
+            monkeypatch.setattr(sup.ladder[1], "run_shards", rung_down)
+            state = sup.make_state(19)
+            assert sup.run(state, 60, 0.01).n_steps == 60
+            assert sup.tier == "single"
+            # later runs stay on the inline rung
+            sup.run(sup.make_state(19), 5, 0.01)
+        drops = [d.message.split(":")[0] for d in sup.diagnostics
+                 if "degrading" in d.message]
+        assert drops == ["degrading supervised -> threads",
+                         "degrading threads -> single"]
+        rows = ledger.RunLedger(tmp_path / "l.jsonl").read(
+            event="degradation")
+        assert [(r["from_tier"], r["tier"]) for r in rows] == \
+            [("supervised", "threads"), ("threads", "single")]
+        assert compare_trajectories(expected, state, rtol=0, atol=0)
+
+    def test_other_failure_on_processes_rung_drops_to_inline(
+            self, monkeypatch):
+        expected = run_single("Plonsey", 16, 20)
+        with SupervisedRunner(make_generated("Plonsey"), n_workers=2) as sup:
+            monkeypatch.setattr(sup.ladder[0], "run_shards", rung_down)
+            state = sup.make_state(16)
+            sup.run(state, 20, 0.01)
+            assert sup.tier == "single"
+        drops = [d.message.split(":")[0] for d in sup.diagnostics]
+        assert drops == ["degrading supervised -> single"]
+        assert compare_trajectories(expected, state, rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# One compile: --workers runs adopt the kernel compile_resilient built
+# ---------------------------------------------------------------------------
+
+
+@needs_mp
+class TestCompileOnce:
+    @pytest.fixture
+    def lowerings(self, monkeypatch):
+        import repro.runtime.executor as executor
+        calls = []
+        real = executor.lower_function
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "lower_function", counting)
+        monkeypatch.delenv("LIMPET_ARTIFACT_DIR", raising=False)
+        return calls
+
+    def test_cli_run_with_workers_lowers_once(self, lowerings, capsys):
+        from repro.cli import main
+        assert main(["run", "LuoRudy91", "--cells", "32", "--steps", "5",
+                     "--workers", "2"]) == 0
+        assert "supervised x2" in capsys.readouterr().out
+        assert len(lowerings) == 1
+
+    def test_supervised_sweep_lowers_once(self, lowerings):
+        from repro.bench import resilient_sweep
+        [record] = resilient_sweep(["LuoRudy91"], n_cells=16, n_steps=5,
+                                   workers=2)
+        assert record.ok and record.tier == "supervised"
+        assert len(lowerings) == 1
+
+    def test_from_runner_adopts_the_kernel(self, lowerings):
+        runner = KernelRunner(make_generated("Plonsey"))
+        with SupervisedRunner.from_runner(runner, n_workers=2) as sup:
+            assert sup.kernel is runner.kernel
+            assert sup.compile_seconds == runner.compile_seconds
+            assert sup.cache_key == runner.cache_key
+            state = sup.make_state(16)
+            sup.run(state, 10, 0.01)
+            assert sup.tier == "supervised"
+        assert len(lowerings) == 1
+        expected = run_single("Plonsey", 16, 10)
+        assert compare_trajectories(expected, state, rtol=0, atol=0)
+
+    def test_from_runner_refuses_an_arena_kernel(self):
+        runner = KernelRunner(make_generated("Plonsey"), arena=True)
+        with pytest.raises(ValueError, match="arena"):
+            SupervisedRunner.from_runner(runner, n_workers=2)
+
 
 # ---------------------------------------------------------------------------
 # Construction refusals inherited from the thread tier
@@ -317,14 +409,15 @@ class TestLifecycle:
         state = sup.make_state(16)
         sup.run(state, 5, 0.01)
         sup.close()
-        assert sup._procs == [] and sup._state_shm is None
-        assert sup._hb_shm is None
+        pool = sup.ladder[0]
+        assert pool._procs == [] and pool._state_shm is None
+        assert pool._hb_shm is None
         sup.close()                     # idempotent
 
     def test_close_all_runners_sweeps_registry(self):
         sup = SupervisedRunner(make_generated("Plonsey"), n_workers=2)
         close_all_runners()
-        assert sup._procs == []
+        assert sup.ladder[0]._procs == []
 
     def test_cleanup_registry_runs_lifo_once(self):
         calls = []
